@@ -107,14 +107,35 @@ void BM_SharedGating(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedGating)->RangeMultiplier(2)->Range(4, 48)->Complexity();
 
-void BM_ListSchedule(benchmark::State& state) {
-  const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 8, 42);
-  const int steps = criticalPathLength(g) + 4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(minimizeResources(g, steps));
-  }
+/// The power-managed design a request schedules: the transform and shared
+/// gating at cp + 4, so the graph carries their control edges.
+PowerManagedDesign scheduledBenchDesign(int layers) {
+  const Graph g = randomLayeredDfg(layers, 6, 1);
+  PowerManagedDesign design = applyPowerManagement(g, criticalPathLength(g) + 4);
+  applySharedGating(design);
+  return design;
 }
-BENCHMARK(BM_ListSchedule)->RangeMultiplier(2)->Range(4, 32);
+
+// The scheduling tail's search: resource growth rounds plus the schedule
+// of the successful one.
+void BM_ScheduleMinUnits(benchmark::State& state) {
+  const PowerManagedDesign design = scheduledBenchDesign(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduleMinUnits(design.graph, design.steps));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ScheduleMinUnits)->RangeMultiplier(2)->Range(8, 256)->Complexity();
+
+void BM_BindDesign(benchmark::State& state) {
+  const PowerManagedDesign design = scheduledBenchDesign(static_cast<int>(state.range(0)));
+  const Schedule sched = scheduleMinUnits(design.graph, design.steps).schedule;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bindDesign(design.graph, sched));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_BindDesign)->RangeMultiplier(2)->Range(8, 256)->Complexity();
 
 void BM_ForceDirected(benchmark::State& state) {
   const Graph g = randomLayeredDfg(static_cast<int>(state.range(0)), 6, 42);
@@ -331,9 +352,7 @@ void BM_ControllerGen(benchmark::State& state) {
   const int steps = criticalPathLength(g) + 4;
   PowerManagedDesign design = applyPowerManagement(g, steps);
   applySharedGating(design);
-  const ResourceVector units = minimizeResources(design.graph, design.steps);
-  const ListScheduleResult scheduled = listSchedule(design.graph, design.steps, units);
-  const Schedule& sched = *scheduled.schedule;
+  const Schedule sched = scheduleMinUnits(design.graph, design.steps).schedule;
   const Binding binding = bindDesign(design.graph, sched);
   const ActivationResult activation = analyzeActivation(design);
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "alloc/binding.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "sched/condition.hpp"
@@ -36,11 +37,12 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   };
   std::map<ResourceClass, std::vector<UnitState>> pool;
 
+  const StepBuckets byStep = sched.nodesByStep(g);
   for (int step = 1; step <= sched.steps(); ++step) {
     for (auto& [cls, states] : pool)
       for (UnitState& s : states) s.opsThisStep.clear();
 
-    for (const NodeId n : sched.nodesInStep(g, step)) {
+    for (const NodeId n : byStep.step(step)) {
       const ResourceClass rc = resourceClassOf(g.kind(n));
       std::vector<UnitState>& states = pool[rc];
 
@@ -98,7 +100,7 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   // Step at which a node's value becomes available (transparent nodes relay
   // their producer's time).
   std::vector<int> avail(g.size(), 0);
-  for (const NodeId n : g.topoOrder()) {
+  for (const NodeId n : g.topoOrderView()) {
     if (isScheduled(g.kind(n))) {
       avail[n] = sched.stepOf(n);
     } else {
@@ -109,12 +111,13 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   }
 
   std::vector<Lifetime> lifetimes;
+  std::vector<NodeId> stack;
   for (NodeId n = 0; n < g.size(); ++n) {
     if (!isScheduled(g.kind(n))) continue;
     int lastUse = avail[n];
     bool hasUse = false;
     // Uses through wires count at the wire consumer's step.
-    std::vector<NodeId> stack{n};
+    stack.assign(1, n);
     while (!stack.empty()) {
       const NodeId v = stack.back();
       stack.pop_back();
@@ -161,20 +164,24 @@ Binding bindDesign(const Graph& g, const Schedule& sched, const BindingOptions& 
   // ---- interconnect estimate -----------------------------------------------
   // Each unit input port needs a (k-1)-deep 2:1 mux tree over its k distinct
   // sources; sources are producer registers or primary inputs/constants.
+  std::vector<std::uint32_t> seenInPort(g.size(), 0);  // last port that counted each source
+  std::uint32_t portStamp = 0;
   for (const FunctionalUnit& unit : binding.units) {
     const std::size_t ports = unit.cls == ResourceClass::Mux ? 3 : 2;
     for (std::size_t port = 0; port < ports; ++port) {
-      std::vector<NodeId> sources;
+      ++portStamp;
+      int sources = 0;
       for (const NodeId op : unit.ops) {
         const auto operands = g.fanins(op);
         if (port >= operands.size()) continue;
         NodeId src = operands[port];
         while (g.kind(src) == OpKind::Wire) src = g.fanins(src)[0];
-        if (std::find(sources.begin(), sources.end(), src) == sources.end())
-          sources.push_back(src);
+        if (seenInPort[src] != portStamp) {
+          seenInPort[src] = portStamp;
+          ++sources;
+        }
       }
-      if (sources.size() > 1)
-        binding.interconnectMuxes += static_cast<int>(sources.size()) - 1;
+      if (sources > 1) binding.interconnectMuxes += sources - 1;
     }
   }
 

@@ -2,8 +2,12 @@
 // Resource-constrained list scheduling, standing in for HYPER's scheduler.
 //
 // Priority function: smallest ALAP first (least slack), then smallest
-// mobility, then node id for determinism. Handles the control edges the
+// ASAP, then node id for determinism. Handles the control edges the
 // power-management transform inserts exactly like data precedence.
+//
+// The scheduler is event-driven: an operation enters the ready list in the
+// step after its last data or control predecessor finishes, so a pass costs
+// O(edges + ready-list work) rather than O(steps x nodes).
 
 #include <optional>
 
@@ -39,5 +43,17 @@ struct ListScheduleResult {
                                                const UnitCosts& costs = UnitCosts::defaults(),
                                                int ii = 0,
                                                const LatencyModel& model = LatencyModel::unit());
+
+/// Minimum units together with a schedule that uses exactly them.
+struct MinUnitsSchedule {
+  ResourceVector units;
+  Schedule schedule;
+};
+
+/// minimizeResources() and listSchedule() on its result in one search: the
+/// same units and the same schedule as that pair of calls, without the
+/// extra pass. Throws InfeasibleError like minimizeResources().
+[[nodiscard]] MinUnitsSchedule scheduleMinUnits(const Graph& g, int steps, int ii = 0,
+                                                const LatencyModel& model = LatencyModel::unit());
 
 }  // namespace pmsched

@@ -22,13 +22,9 @@ PipelineResult pipelineSchedule(const Graph& g, const PipelineOptions& opts) {
     result.design = unmanagedDesign(g, latency);  // same budget, no gating
   }
 
-  const ResourceVector units = minimizeResources(result.design.graph, latency,
-                                                 UnitCosts::defaults(), ii);
-  ListScheduleResult sched = listSchedule(result.design.graph, latency, units, ii);
-  if (!sched.schedule)
-    throw InfeasibleError("pipelineSchedule: final scheduling failed: " + sched.message);
-  result.schedule = std::move(*sched.schedule);
-  result.units = units;
+  MinUnitsSchedule scheduled = scheduleMinUnits(result.design.graph, latency, ii);
+  result.schedule = std::move(scheduled.schedule);
+  result.units = scheduled.units;
   return result;
 }
 

@@ -7,11 +7,21 @@ namespace pmsched {
 
 Schedule::Schedule(const Graph& g, int steps) : steps_(steps), step_(g.size(), 0) {}
 
-std::vector<NodeId> Schedule::nodesInStep(const Graph& g, int step) const {
-  std::vector<NodeId> out;
+StepBuckets Schedule::nodesByStep(const Graph& g) const {
+  // Counting sort on the step; filling in id order keeps each step ascending.
+  StepBuckets b;
+  b.offsets.assign(static_cast<std::size_t>(steps_) + 2, 0);
+  auto inRange = [&](NodeId n) {
+    return isScheduled(g.kind(n)) && step_[n] >= 1 && step_[n] <= steps_;
+  };
   for (NodeId n = 0; n < g.size(); ++n)
-    if (isScheduled(g.kind(n)) && step_[n] == step) out.push_back(n);
-  return out;
+    if (inRange(n)) ++b.offsets[static_cast<std::size_t>(step_[n]) + 1];
+  for (std::size_t s = 1; s < b.offsets.size(); ++s) b.offsets[s] += b.offsets[s - 1];
+  b.nodes.resize(b.offsets.back());
+  std::vector<std::uint32_t> fill(b.offsets.begin(), b.offsets.end() - 1);
+  for (NodeId n = 0; n < g.size(); ++n)
+    if (inRange(n)) b.nodes[fill[static_cast<std::size_t>(step_[n])]++] = n;
+  return b;
 }
 
 std::vector<ResourceVector> Schedule::usagePerStep(const Graph& g,
@@ -51,7 +61,7 @@ void Schedule::validate(const Graph& g, const LatencyModel& model) const {
 
   // Availability time of a node's value given the placement.
   std::vector<int> avail(g.size(), 0);
-  for (const NodeId n : g.topoOrder()) {
+  for (const NodeId n : g.topoOrderView()) {
     int ready = 0;
     for (const NodeId p : g.fanins(n)) ready = std::max(ready, avail[p]);
     for (const NodeId p : g.controlPredecessors(n)) ready = std::max(ready, avail[p]);
@@ -74,10 +84,11 @@ void Schedule::validate(const Graph& g, const LatencyModel& model) const {
 
 std::string Schedule::render(const Graph& g) const {
   std::ostringstream os;
+  const StepBuckets byStep = nodesByStep(g);
   for (int s = 1; s <= steps_; ++s) {
     os << "step " << s << ":";
     bool any = false;
-    for (const NodeId n : nodesInStep(g, s)) {
+    for (const NodeId n : byStep.step(s)) {
       os << (any ? ", " : " ") << g.node(n).name << " [" << opName(g.kind(n)) << "]";
       any = true;
     }

@@ -3,6 +3,8 @@
 // step, plus derived resource usage. Produced by the list/force-directed
 // schedulers, validated against the graph (including control edges).
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,17 @@
 #include "sched/resources.hpp"
 
 namespace pmsched {
+
+/// Scheduled nodes grouped by control step, ascending by id within a step.
+struct StepBuckets {
+  std::vector<std::uint32_t> offsets;  ///< step s (1-based) is [offsets[s], offsets[s+1])
+  std::vector<NodeId> nodes;
+
+  [[nodiscard]] std::span<const NodeId> step(int s) const {
+    return {nodes.data() + offsets[static_cast<std::size_t>(s)],
+            nodes.data() + offsets[static_cast<std::size_t>(s) + 1]};
+  }
+};
 
 class Schedule {
  public:
@@ -24,8 +37,9 @@ class Schedule {
   void place(NodeId n, int step) { step_.at(n) = step; }
   [[nodiscard]] bool isPlaced(NodeId n) const { return step_.at(n) != 0; }
 
-  /// Nodes placed in a given step, ascending by id.
-  [[nodiscard]] std::vector<NodeId> nodesInStep(const Graph& g, int step) const;
+  /// Every scheduled node placed in [1, steps], bucketed by step in one
+  /// pass over the graph.
+  [[nodiscard]] StepBuckets nodesByStep(const Graph& g) const;
 
   /// Per-class concurrent usage of each step. Multi-cycle operations
   /// occupy their unit for `model.latencyOf(...)` consecutive steps.

@@ -27,10 +27,8 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
 
   // The propagation order must respect the extra edges too, otherwise a
   // tentative constraint from a later-ordered node would read a stale time.
-  std::vector<NodeId> order;
-  if (extraEdges.empty()) {
-    order = g.topoOrder();
-  } else {
+  std::vector<NodeId> extraOrder;
+  if (!extraEdges.empty()) {
     std::vector<int> indegree(g.size(), 0);
     for (NodeId i = 0; i < g.size(); ++i)
       indegree[i] = static_cast<int>(g.fanins(i).size() + g.controlPredecessors(i).size() +
@@ -38,11 +36,11 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
     std::vector<NodeId> ready;
     for (NodeId i = 0; i < g.size(); ++i)
       if (indegree[i] == 0) ready.push_back(i);
-    order.reserve(g.size());
+    extraOrder.reserve(g.size());
     while (!ready.empty()) {
       const NodeId n = ready.back();
       ready.pop_back();
-      order.push_back(n);
+      extraOrder.push_back(n);
       auto relax = [&](NodeId s) {
         if (--indegree[s] == 0) ready.push_back(s);
       };
@@ -50,9 +48,11 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
       for (const NodeId s : g.controlSuccessors(n)) relax(s);
       for (const NodeId s : xSucc[n]) relax(s);
     }
-    if (order.size() != g.size())
+    if (extraOrder.size() != g.size())
       throw SynthesisError("computeTimeFrames: extra edges create a cycle");
   }
+  const std::span<const NodeId> order =
+      extraEdges.empty() ? g.topoOrderView() : std::span<const NodeId>(extraOrder);
 
   TimeFrames tf;
   tf.steps = steps;

@@ -527,6 +527,13 @@ void ServerCore::processJob(Job& job) {
   } catch (const BudgetExceededError& e) {
     job.responded = true;
     job.sink(makeErrorResponse(job.idJson, ServerErrorCategory::Budget, e.what()));
+  } catch (const SynthesisError& e) {
+    // A synthesis pass rejected this design (e.g. the controller found a
+    // condition resolved too late). The pipeline is deterministic, so a
+    // retry would fail identically: answer `internal` at once and keep the
+    // worker's warm state.
+    job.responded = true;
+    job.sink(makeErrorResponse(job.idJson, ServerErrorCategory::Internal, e.what()));
   }
   // No catch-all: anything else escaping here IS a worker crash. The
   // supervision layer (runJobSupervised) owns retry-or-typed-internal.

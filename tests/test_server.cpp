@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cdfg/analysis.hpp"
+#include "circuits/circuits.hpp"
 #include "cdfg/textio.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
@@ -436,6 +437,38 @@ TEST(Server, CrashOnTheRetryYieldsOneTypedInternalError) {
   const ServerStats stats = core.statsSnapshot();
   EXPECT_EQ(stats.workerRestarts, 2u);
   EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(Server, DeterministicSynthesisErrorSkipsSupervision) {
+  // vender at 5 steps with the input ordering hits the known shared-gating
+  // fault in controller synthesis on every attempt. The reply is the typed
+  // internal error at once, with the bytes the restart-and-retry path used
+  // to produce after two crashes, and the worker is neither restarted nor
+  // asked to retry.
+  ServerOptions opts;
+  opts.workers = 0;
+  opts.retryBackoffMs = 0;
+  ServerCore core(opts);
+  const Graph g = circuits::vender();
+  std::string expected;
+  try {
+    (void)runDesignJob(DesignJob{g, 5, MuxOrdering::InputFirst});
+  } catch (const SynthesisError& e) {
+    expected = makeErrorResponse("1", ServerErrorCategory::Internal, e.what());
+  }
+  ASSERT_FALSE(expected.empty()) << "vender @5 (input ordering) no longer fails";
+
+  std::vector<std::string> out;
+  core.submitFrame(designFrame(1, saveGraphText(g), 5, ",\"ordering\":\"input\""),
+                   [&](const std::string& l) { out.push_back(l); });
+  while (core.drainOne()) {
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], expected);
+  const ServerStats stats = core.statsSnapshot();
+  EXPECT_EQ(stats.workerRestarts, 0u);
+  EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.completed, 1u);
 }
 
