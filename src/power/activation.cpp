@@ -132,10 +132,7 @@ ActivationResult analyzeActivation(const PowerManagedDesign& design, const RunBu
 
   std::vector<NodeOutcome> outs(classCond.size());
   const std::size_t threads = threadCount();
-  const bool partitioned =
-      threads > 1 && (speculationMode() == SpeculationMode::Force
-                          ? classCond.size() >= 2
-                          : classCond.size() >= kMinConditionsForParallel);
+  const bool partitioned = threads > 1 && classCond.size() >= kMinConditionsForParallel;
   if (partitioned) {
     // Partitioned parallel build, in two passes. Pass 1 builds a shared
     // core — every term that occurs in more than one condition class, i.e.

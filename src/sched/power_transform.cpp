@@ -1,15 +1,11 @@
 #include "sched/power_transform.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
-#include <memory>
+#include <cstdint>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 #include "cdfg/analysis.hpp"
-#include "sched/probe_farm.hpp"
 #include "sched/timeframe_oracle.hpp"
 #include "support/run_budget.hpp"
 #include "support/thread_pool.hpp"
@@ -249,193 +245,12 @@ int PowerManagedDesign::sharedGatedCount() const {
 
 namespace {
 
-using Edge = TimeFrameOracle::Edge;
-
-/// Fewest candidates for which the farm machinery is worth spinning up.
-constexpr std::size_t kMinCandidatesForFarm = 4;
-
-// ---------------------------------------------------------------------------
-// Speculative accept/reject sweep (the shared consumer of the ProbeFarm).
-//
-// Walks `edgeSets` strictly in order, keeping a dispatch window of probes in
-// flight on the farm while committing winners on the consumer's oracle. The
-// staleness rules (see probe_farm.hpp) make the verdict stream bit-identical
-// to probing every candidate sequentially at its turn:
-//   fresh result            -> verdict and diagnostics used as-is
-//   stale INFEASIBLE        -> still infeasible (edge-set monotonicity);
-//                              the reason is recovered by an `exact` job at
-//                              the candidate's turn version, off the
-//                              critical path (lateReason)
-//   stale FEASIBLE / skip   -> re-validated on the consumer's own oracle,
-//                              which is exactly the sequential cost
-//   error (cycle)           -> rethrown at the candidate's turn, in order
-// ---------------------------------------------------------------------------
-
-struct SweepHooks {
-  /// Consulted before probing (and before enqueueing). Must be MONOTONE:
-  /// once it returns a forced verdict for a candidate it must keep
-  /// returning it. true = accept without a probe (no edges committed),
-  /// false = reject without a probe.
-  std::function<std::optional<bool>(std::size_t)> predecide;
-  /// Final verdict for candidate i, in order. `bad` is the reference's
-  /// firstInfeasible() when it is already known (diagnose mode only).
-  std::function<void(std::size_t, bool, const std::optional<NodeId>&)> decided;
-  /// Diagnose mode: late reason delivery for stale-rejected candidates
-  /// (called after the sweep, in candidate order).
-  std::function<void(std::size_t, const std::optional<NodeId>&)> lateReason;
-};
-
-/// Returns the number of candidates decided — `n` on a full sweep, less
-/// when the budget ran out (the caller marks the undecided tail degraded).
-/// On early stop the staged-but-unawaited jobs are abandoned: the lanes
-/// poll the same budget before claiming, so the farm drains within one
-/// slice-quantum and the farm destructor reaps the rest.
-std::size_t speculativeSweep(TimeFrameOracle& oracle, ProbeFarm& farm,
-                             const std::vector<std::vector<Edge>>& edgeSets, bool diagnose,
-                             const SweepHooks& hooks, const RunBudget* budget = nullptr) {
-  const std::size_t n = edgeSets.size();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  const std::size_t window = std::max<std::size_t>(4 * farm.lanes(), 8);
-  // Adaptive engagement. An ACCEPT invalidates every in-flight speculative
-  // probe (the committed baseline moved), so speculation only pays during
-  // reject streaks — which is also where the work is, since rejects leave
-  // the baseline untouched and parallelize perfectly. After an accept the
-  // sweep probes the next few candidates on its own oracle (identical
-  // verdicts, zero churn) and re-engages the farm once a reject streak
-  // shows up again. Decisions are bit-identical either way; the policy
-  // only moves probes between lanes and the consumer.
-  constexpr std::size_t kCooldownAfterAccept = 4;
-  std::size_t cooldown = 0;
-
-  std::vector<std::size_t> ticket(n, kNone);
-  std::vector<std::pair<std::size_t, std::size_t>> reasonJobs;  // (candidate, ticket)
-  std::size_t horizon = 0;
-
-  // Batched wave handoff: STAGE every probe in the refill block (no lock,
-  // no wake), then ring the pool once — one cv round per wave instead of
-  // one per probe (see probe_farm.hpp). The consume loop refills only
-  // when the dispatched lookahead drops below half a window, so steady
-  // reject streaks ring waves of ~window/2 probes rather than degrading
-  // to per-candidate waves of one.
-  auto dispatchTo = [&](std::size_t lo, std::size_t hi) {
-    // An accept rewinds horizon to its own candidate; everything before
-    // `lo` is already decided and must not be re-staged as garbage work.
-    horizon = std::max(horizon, lo);
-    for (; horizon < std::min(hi, n); ++horizon) {
-      if (ticket[horizon] != kNone) continue;
-      if (hooks.predecide && hooks.predecide(horizon)) continue;  // forced: no probe
-      if (edgeSets[horizon].empty()) continue;                    // trivially feasible
-      ticket[horizon] = farm.stage(edgeSets[horizon], diagnose);
-    }
-    farm.ring();
-  };
-
-  // Sequential re-validation on the consumer's oracle — exactly what the
-  // sequential sweep does at this candidate's turn.
-  auto probeInline = [&](std::size_t i, std::optional<NodeId>& bad) {
-    if (budget != nullptr) budget->chargeProbes();
-    oracle.push(edgeSets[i], /*probe=*/!diagnose);
-    if (oracle.feasible()) {
-      oracle.commit();
-      farm.commitBatch(oracle);
-      return true;
-    }
-    if (diagnose) bad = oracle.firstInfeasible();
-    oracle.pop();
-    return false;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (budget != nullptr && budget->exhausted()) return i;  // undecided tail
-    if (cooldown == 0 && horizon < std::min(i + window / 2, n)) dispatchTo(i, i + window);
-
-    if (hooks.predecide) {
-      if (const std::optional<bool> forced = hooks.predecide(i)) {
-        hooks.decided(i, *forced, std::nullopt);
-        continue;
-      }
-    }
-    if (edgeSets[i].empty()) {  // no constraint: always feasible, nothing to commit
-      hooks.decided(i, true, std::nullopt);
-      continue;
-    }
-
-    bool accepted = false;
-    bool resolved = false;
-    std::optional<NodeId> bad;
-
-    if (ticket[i] == kNone && cooldown > 0) {
-      --cooldown;
-      accepted = probeInline(i, bad);
-      resolved = true;
-    }
-    if (!resolved) {
-      if (ticket[i] == kNone) ticket[i] = farm.enqueue(edgeSets[i], diagnose);
-      const ProbeFarm::Result r = farm.await(ticket[i]);
-      const std::uint64_t cur = farm.version();
-      if (r.error && r.version == cur) std::rethrow_exception(r.error);
-      if (r.ran && !r.error) {
-        if (r.version == cur) {
-          accepted = r.feasible;
-          bad = r.firstInfeasible;
-          resolved = true;
-          if (accepted) {
-            oracle.push(edgeSets[i]);
-            if (!oracle.feasible())
-              throw SynthesisError("ProbeFarm: speculative verdict diverged from the oracle");
-            oracle.commit();
-            farm.commitBatch(oracle);
-          }
-        } else if (!r.feasible && diagnose) {
-          // Stale reject: adding committed edges can only raise ASAPs, so
-          // the verdict stands. The reference's diagnostic node — or the
-          // SynthesisError the sequential push would raise if the newer
-          // committed edges close a cycle through this batch — is
-          // recovered by an exact job pinned to this candidate's turn
-          // version and surfaced after the sweep. Without diagnose there
-          // is no late job to catch the cycle case, so stale rejects fall
-          // through to the inline re-validation instead.
-          resolved = true;
-          reasonJobs.emplace_back(i, farm.enqueue(edgeSets[i], true, /*exact=*/true));
-        }
-      }
-      if (!resolved) {
-        // Skipped, stale-feasible or stale-error.
-        accepted = probeInline(i, bad);
-      }
-    }
-    if (accepted) {
-      // The commit stales every in-flight speculative job; drop their
-      // tickets so dispatch re-probes against the new state (claimed stale
-      // jobs finish and are discarded unread), and hold off dispatching
-      // until a reject streak justifies it again.
-      for (std::size_t j = i + 1; j < horizon; ++j) ticket[j] = kNone;
-      horizon = i + 1;
-      cooldown = kCooldownAfterAccept;
-    }
-    hooks.decided(i, accepted, bad);
-  }
-
-  for (const auto& [idx, t] : reasonJobs) {
-    // Reasons are diagnostics only; an exhausted budget leaves the rest
-    // blank rather than paying one frame computation each (the verdicts
-    // above are already final).
-    if (budget != nullptr && budget->exhausted()) break;
-    const ProbeFarm::Result r = farm.await(t);
-    if (r.error) std::rethrow_exception(r.error);
-    if (hooks.lateReason) hooks.lateReason(idx, r.firstInfeasible);
-  }
-  return n;
-}
-
-/// Shared driver: offer power management to `candidates` in order, keeping
-/// each mux whose control edges leave the frames feasible. With `useOracle`
-/// the per-mux schedulability test is an incremental push → test →
-/// pop/commit on a TimeFrameOracle — parallelized over a ProbeFarm when
-/// `speculate` and more than one thread is configured; otherwise frames are
-/// recomputed from scratch per mux (the retained reference path
-/// differential tests pin the oracle against).
 constexpr const char* kBudgetReason = "not attempted: run budget exhausted";
+
+/// Candidate lists at least this long compute their gated sets up front
+/// across the pool: one candidate's sets cost well under a microsecond on
+/// small graphs, so shorter lists would not amortize the chunk handoffs.
+constexpr std::size_t kMinCandidatesForParallelSets = 384;
 
 /// Mark a transform design degraded (once) and mirror it into the budget's
 /// event log so the CLI can report which stage stopped early.
@@ -450,11 +265,16 @@ void markTransformDegraded(PowerManagedDesign& design, const RunBudget* budget) 
                        "remaining muxes left unmanaged; design stays valid");
 }
 
+/// Shared driver: offer power management to `candidates` in order, keeping
+/// each mux whose control edges leave the frames feasible. With `useOracle`
+/// the per-mux schedulability test is an incremental push → test →
+/// pop/commit on a TimeFrameOracle; otherwise frames are recomputed from
+/// scratch per mux (the retained reference path differential tests pin the
+/// oracle against).
 PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
                                          const std::vector<NodeId>& candidates,
                                          const LatencyModel& model, bool useOracle,
                                          std::span<const NodeMask> cones,
-                                         bool speculate = true,
                                          const RunBudget* budget = nullptr) {
   PowerManagedDesign design;
   design.graph = g.clone();
@@ -471,225 +291,94 @@ PowerManagedDesign runTransformWithModel(const Graph& g, int steps,
   // data edges; edges are only materialized after the loop, so it stays
   // valid for the whole sweep (control edges would not affect it anyway).
 
-  const bool parallel = useOracle && speculate && threadCount() > 1 &&
-                        candidates.size() >= kMinCandidatesForFarm;
-
-  if (!parallel) {
-    for (const NodeId m : candidates) {
-      MuxPmInfo info;
-      info.mux = m;
-
-      if (budget != nullptr && budget->exhausted()) {
-        // Degrade: stop offering gating. Everything committed so far stays;
-        // the design (and its final frames) remains exactly as if the
-        // candidate list had ended here, so it is still schedulable.
-        info.reason = kBudgetReason;
-        markTransformDegraded(design, budget);
-        design.muxes.push_back(std::move(info));
-        continue;
-      }
-
-      GatedSets sets = computeGatedSets(work, m, cones);
-      info.gatedTrue = std::move(sets.gatedTrue);
-      info.gatedFalse = std::move(sets.gatedFalse);
-      info.topTrue = std::move(sets.topTrue);
-      info.topFalse = std::move(sets.topFalse);
-
-      if (!anyScheduled(work, info.gatedTrue) && !anyScheduled(work, info.gatedFalse)) {
-        info.reason = "no operations are exclusive to one data input";
-        design.muxes.push_back(std::move(info));
-        continue;
-      }
-
-      const NodeId ctrl = traceSelectProducer(work, m);
-      std::vector<std::pair<NodeId, NodeId>> newEdges;
-      if (isScheduled(work.kind(ctrl))) {
-        info.lastControl = ctrl;
-        for (const NodeId t : info.topTrue) newEdges.emplace_back(ctrl, t);
-        for (const NodeId t : info.topFalse) newEdges.emplace_back(ctrl, t);
-      }
-      // A select driven directly by an input or constant needs no control
-      // step, so gating it is always feasible (lastControl stays invalid).
-
-      std::optional<NodeId> bad;
-      if (budget != nullptr && !newEdges.empty()) budget->chargeProbes();
-      if (oracle) {
-        oracle->push(newEdges);
-        if (oracle->feasible()) {
-          oracle->commit();
-        } else {
-          bad = oracle->firstInfeasible();
-          oracle->pop();  // revert (tentative edges dropped)
-        }
-      } else {
-        std::vector<std::pair<NodeId, NodeId>> tentative = committed;
-        tentative.insert(tentative.end(), newEdges.begin(), newEdges.end());
-        bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work);
-      }
-      if (bad) {
-        info.reason = "insufficient slack: node '" + work.node(*bad).name +
-                      "' would need ASAP > ALAP";
-        design.muxes.push_back(std::move(info));
-        continue;
-      }
-
-      committed.insert(committed.end(), newEdges.begin(), newEdges.end());  // commit (steps 8)
-      info.managed = true;
-      for (const NodeId n : info.gatedTrue) design.gates[n].push_back({m, MuxSide::True});
-      for (const NodeId n : info.gatedFalse) design.gates[n].push_back({m, MuxSide::False});
-      design.muxes.push_back(std::move(info));
-    }
-
-    // Final frames before materializing: the oracle's committed fixed point
-    // equals computeTimeFrames over the augmented graph.
-    if (oracle) design.frames = oracle->frames();
-
-    // Step 10: materialize the committed precedence as control edges.
-    for (const auto& [before, after] : committed) work.addControlEdge(before, after);
-    if (!oracle) design.frames = computeTimeFrames(work, steps, {}, model);
-    return design;
+  // A candidate's gated sets depend only on the graph, which is not
+  // mutated until materialization, so a long list computes them all up
+  // front in parallel; only the accept/reject verdicts below are
+  // order-dependent. The oracle constructor warmed the graph's lazy caches,
+  // so the lanes' const reads of `work` are race-free.
+  std::vector<GatedSets> precomputed;
+  if (oracle && candidates.size() >= kMinCandidatesForParallelSets) {
+    precomputed.resize(candidates.size());
+    globalThreadPool().parallelFor(0, candidates.size(), 8, [&](std::size_t, std::size_t i) {
+      precomputed[i] = computeGatedSets(work, candidates[i], cones);
+    });
   }
 
-  // ---- parallel speculative sweep -----------------------------------------
-  // A candidate's gated sets and control edges depend only on the graph (it
-  // is not mutated until materialization), so they are precomputed for the
-  // whole candidate list in parallel; only the accept/reject verdicts are
-  // order-dependent, and the speculative sweep reproduces those exactly.
-  const std::size_t n = candidates.size();
-  struct Cand {
-    GatedSets sets;
-    NodeId ctrl = kInvalidNode;
-    bool gatedWork = false;
-    bool ctrlScheduled = false;
-  };
-  std::vector<Cand> cand(n);
-  std::vector<std::vector<Edge>> edgeSets(n);
-  // The oracle constructor above warmed the Graph's lazy caches, so the
-  // lanes' const reads of `work` below are race-free.
-  auto computeCand = [&](std::size_t, std::size_t i) {
-    Cand& c = cand[i];
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     const NodeId m = candidates[i];
-    c.sets = computeGatedSets(work, m, cones);
-    c.gatedWork = anyScheduled(work, c.sets.gatedTrue) || anyScheduled(work, c.sets.gatedFalse);
-    if (!c.gatedWork) return;
-    c.ctrl = traceSelectProducer(work, m);
-    c.ctrlScheduled = isScheduled(work.kind(c.ctrl));
-    if (c.ctrlScheduled) {
-      for (const NodeId t : c.sets.topTrue) edgeSets[i].emplace_back(c.ctrl, t);
-      for (const NodeId t : c.sets.topFalse) edgeSets[i].emplace_back(c.ctrl, t);
-    }
-  };
-  // A candidate's gated sets cost well under a microsecond on small
-  // graphs; fan out only when the list is long enough to amortize the
-  // chunk handoffs.
-  if (n >= 384 || speculationMode() == SpeculationMode::Force) {
-    globalThreadPool().parallelFor(0, n, 8, computeCand);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) computeCand(0, i);
-  }
+    MuxPmInfo info;
+    info.mux = m;
 
-  design.muxes.resize(n);
-  std::size_t probeworthy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    MuxPmInfo& info = design.muxes[i];
-    info.mux = candidates[i];
-    info.gatedTrue = std::move(cand[i].sets.gatedTrue);
-    info.gatedFalse = std::move(cand[i].sets.gatedFalse);
-    info.topTrue = std::move(cand[i].sets.topTrue);
-    info.topFalse = std::move(cand[i].sets.topFalse);
-    if (cand[i].gatedWork && cand[i].ctrlScheduled) info.lastControl = cand[i].ctrl;
-    if (!edgeSets[i].empty()) ++probeworthy;
-  }
-
-  auto slackReason = [&](const std::optional<NodeId>& bad) {
-    return "insufficient slack: node '" + work.node(*bad).name + "' would need ASAP > ALAP";
-  };
-  auto accept = [&](std::size_t i) {
-    MuxPmInfo& info = design.muxes[i];
-    committed.insert(committed.end(), edgeSets[i].begin(), edgeSets[i].end());
-    info.managed = true;
-    for (const NodeId nn : info.gatedTrue)
-      design.gates[nn].push_back({info.mux, MuxSide::True});
-    for (const NodeId nn : info.gatedFalse)
-      design.gates[nn].push_back({info.mux, MuxSide::False});
-  };
-
-  // The speculative farm pays off when there are enough probes to overlap
-  // AND each probe outweighs a cross-thread handoff (probe cost scales
-  // with the graph; see SpeculationMode). Most candidates on loose budgets
-  // never reach a probe (no gated work or a PI-driven select), and for
-  // those the parallel precompute above was the whole win — otherwise
-  // finish with the plain sequential verdict loop.
-  if (farmProbesWorthwhile(g.size()) &&
-      probeworthy >= std::max<std::size_t>(3 * threadCount(), 8)) {
-    SweepHooks hooks;
-    hooks.predecide = [&](std::size_t i) -> std::optional<bool> {
-      if (!cand[i].gatedWork) return false;
-      return std::nullopt;  // empty edge sets are force-accepted by the sweep
-    };
-    hooks.decided = [&](std::size_t i, bool accepted, const std::optional<NodeId>& bad) {
-      if (!accepted) {
-        design.muxes[i].reason = cand[i].gatedWork
-                                     ? (bad ? slackReason(bad) : std::string())
-                                     : "no operations are exclusive to one data input";
-        return;
-      }
-      accept(i);
-    };
-    hooks.lateReason = [&](std::size_t i, const std::optional<NodeId>& bad) {
-      design.muxes[i].reason = slackReason(bad);
-    };
-    // The farm must be torn down (its destructor waits for every lane)
-    // before the graph below is mutated: lanes running abandoned stale
-    // jobs read the shared graph until then.
-    std::size_t decided = n;
-    {
-      ProbeFarm farm(work, steps, model, "power-transform", budget);
-      decided = speculativeSweep(*oracle, farm, edgeSets, /*diagnose=*/true, hooks, budget);
-    }
-    for (std::size_t i = decided; i < n; ++i) {
-      design.muxes[i].reason =
-          cand[i].gatedWork ? kBudgetReason
-                            : "no operations are exclusive to one data input";
+    if (budget != nullptr && budget->exhausted()) {
+      // Degrade: stop offering gating. Everything committed so far stays;
+      // the design (and its final frames) remains exactly as if the
+      // candidate list had ended here, so it is still schedulable.
+      info.reason = kBudgetReason;
       markTransformDegraded(design, budget);
+      design.muxes.push_back(std::move(info));
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!cand[i].gatedWork) {
-        design.muxes[i].reason = "no operations are exclusive to one data input";
-        continue;
-      }
-      if (budget != nullptr && budget->exhausted()) {
-        design.muxes[i].reason = kBudgetReason;
-        markTransformDegraded(design, budget);
-        continue;
-      }
-      if (edgeSets[i].empty()) {  // no scheduled control: always feasible
-        accept(i);
-        continue;
-      }
-      if (budget != nullptr) budget->chargeProbes();
-      oracle->push(edgeSets[i]);
+
+    GatedSets sets =
+        precomputed.empty() ? computeGatedSets(work, m, cones) : std::move(precomputed[i]);
+    info.gatedTrue = std::move(sets.gatedTrue);
+    info.gatedFalse = std::move(sets.gatedFalse);
+    info.topTrue = std::move(sets.topTrue);
+    info.topFalse = std::move(sets.topFalse);
+
+    if (!anyScheduled(work, info.gatedTrue) && !anyScheduled(work, info.gatedFalse)) {
+      info.reason = "no operations are exclusive to one data input";
+      design.muxes.push_back(std::move(info));
+      continue;
+    }
+
+    const NodeId ctrl = traceSelectProducer(work, m);
+    std::vector<std::pair<NodeId, NodeId>> newEdges;
+    if (isScheduled(work.kind(ctrl))) {
+      info.lastControl = ctrl;
+      for (const NodeId t : info.topTrue) newEdges.emplace_back(ctrl, t);
+      for (const NodeId t : info.topFalse) newEdges.emplace_back(ctrl, t);
+    }
+    // A select driven directly by an input or constant needs no control
+    // step, so gating it is always feasible (lastControl stays invalid).
+
+    std::optional<NodeId> bad;
+    if (budget != nullptr && !newEdges.empty()) budget->chargeProbes();
+    if (oracle) {
+      oracle->push(newEdges);
       if (oracle->feasible()) {
         oracle->commit();
-        accept(i);
       } else {
-        design.muxes[i].reason = slackReason(oracle->firstInfeasible());
-        oracle->pop();
+        bad = oracle->firstInfeasible();
+        oracle->pop();  // revert (tentative edges dropped)
       }
+    } else {
+      std::vector<std::pair<NodeId, NodeId>> tentative = committed;
+      tentative.insert(tentative.end(), newEdges.begin(), newEdges.end());
+      bad = computeTimeFrames(work, steps, tentative, model).firstInfeasible(work);
     }
+    if (bad) {
+      info.reason = "insufficient slack: node '" + work.node(*bad).name +
+                    "' would need ASAP > ALAP";
+      design.muxes.push_back(std::move(info));
+      continue;
+    }
+
+    committed.insert(committed.end(), newEdges.begin(), newEdges.end());  // commit (steps 8)
+    info.managed = true;
+    for (const NodeId n : info.gatedTrue) design.gates[n].push_back({m, MuxSide::True});
+    for (const NodeId n : info.gatedFalse) design.gates[n].push_back({m, MuxSide::False});
+    design.muxes.push_back(std::move(info));
   }
 
-  design.frames = oracle->frames();
-  for (const auto& [before, after] : committed) work.addControlEdge(before, after);
-  return design;
-}
+  // Final frames before materializing: the oracle's committed fixed point
+  // equals computeTimeFrames over the augmented graph.
+  if (oracle) design.frames = oracle->frames();
 
-PowerManagedDesign runTransform(const Graph& g, int steps,
-                                const std::vector<NodeId>& candidates, bool useOracle,
-                                std::span<const NodeMask> cones, bool speculate = true) {
-  return runTransformWithModel(g, steps, candidates, LatencyModel::unit(), useOracle, cones,
-                               speculate);
+  // Step 10: materialize the committed precedence as control edges.
+  for (const auto& [before, after] : committed) work.addControlEdge(before, after);
+  if (!oracle) design.frames = computeTimeFrames(work, steps, {}, model);
+  return design;
 }
 
 }  // namespace
@@ -699,7 +388,7 @@ PowerManagedDesign applyPowerManagement(const Graph& g, int steps, MuxOrdering o
   g.validate();
   const std::vector<NodeMask> cones = faninConeMasks(g);
   return runTransformWithModel(g, steps, orderMuxes(g, ordering, cones), model,
-                               /*useOracle=*/true, cones, /*speculate=*/true, budget);
+                               /*useOracle=*/true, cones, budget);
 }
 
 PowerManagedDesign applyPowerManagementReference(const Graph& g, int steps, MuxOrdering ordering,
@@ -715,58 +404,41 @@ namespace {
 // ---------------------------------------------------------------------------
 // Exact search (applyPowerManagementOptimal).
 //
-// The DFS over include/exclude decisions is parallelized at the root: a
-// sequential enumeration walks the first K levels on the main oracle and
-// records every reachable prefix ("leaf") in DFS visit order; each leaf's
-// subtree is then explored independently on its own oracle, and the results
-// are merged in visit order with the same strict-improvement rule the
-// sequential DFS applies — so the chosen subset is bit-identical (see
-// docs/PARALLELISM.md for the argument, including why cross-leaf pruning
-// hints are restricted to earlier-in-order leaves).
-//
-// The infeasibility memo (ROADMAP open item): a probe that fails with at
-// most one other mux chosen is a monotone fact — (i) alone infeasible, or
-// (i, j) jointly infeasible — valid in every superset context, so sibling
-// branches skip the doomed probe entirely. Facts are published with relaxed
-// atomic OR; discovering a fact late only costs an extra probe, never a
-// different verdict.
+// A depth-first search over include/exclude decisions in descending-savings
+// order, bounded by the suffix sum of the remaining savings. The
+// infeasibility memo: a probe that fails with at most one other mux chosen
+// is a monotone fact — (i) alone infeasible, or (i, j) jointly infeasible —
+// valid in every superset context, so sibling branches skip the doomed
+// probe entirely.
 // ---------------------------------------------------------------------------
 
 class InfeasMemo {
  public:
-  explicit InfeasMemo(std::size_t count)
-      : count_(count), words_((count + 63) / 64),
-        bits_(std::make_unique<std::atomic<std::uint64_t>[]>(count_ * words_)) {
-    for (std::size_t i = 0; i < count_ * words_; ++i)
-      bits_[i].store(0, std::memory_order_relaxed);
-  }
+  explicit InfeasMemo(std::size_t count) : words_((count + 63) / 64), bits_(count * words_, 0) {}
 
   /// Row i, bit i: mux i alone infeasible. Row i, bit j: pair (i, j)
   /// jointly infeasible.
   [[nodiscard]] bool blocked(std::size_t i, std::span<const std::uint64_t> chosenMask) const {
-    const std::atomic<std::uint64_t>* row = bits_.get() + i * words_;
-    if (row[i / 64].load(std::memory_order_relaxed) & (std::uint64_t{1} << (i % 64)))
-      return true;
+    const std::uint64_t* row = bits_.data() + i * words_;
+    if (row[i / 64] & (std::uint64_t{1} << (i % 64))) return true;
     for (std::size_t w = 0; w < words_; ++w)
-      if (row[w].load(std::memory_order_relaxed) & chosenMask[w]) return true;
+      if (row[w] & chosenMask[w]) return true;
     return false;
   }
 
-  void learnSelf(std::size_t i) { orBit(i, i); }
+  void learnSelf(std::size_t i) { setBit(i, i); }
   void learnPair(std::size_t i, std::size_t j) {
-    orBit(i, j);
-    orBit(j, i);
+    setBit(i, j);
+    setBit(j, i);
   }
 
  private:
-  void orBit(std::size_t row, std::size_t bit) {
-    bits_[row * words_ + bit / 64].fetch_or(std::uint64_t{1} << (bit % 64),
-                                            std::memory_order_relaxed);
+  void setBit(std::size_t row, std::size_t bit) {
+    bits_[row * words_ + bit / 64] |= std::uint64_t{1} << (bit % 64);
   }
 
-  std::size_t count_;
   std::size_t words_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> bits_;
+  std::vector<std::uint64_t> bits_;
 };
 
 /// DFS working state over the exact window: the chosen set as both a list
@@ -789,11 +461,11 @@ struct ChosenSet {
 PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, bool useOracle,
                               const RunBudget* budget = nullptr) {
   g.validate();
-  // Set once any search phase stops on the budget; the chosen subset at
-  // that point is the best COMPLETE assignment found so far (possibly
-  // empty), which is always jointly feasible — the final materialization
-  // below turns it into a valid, differentially-checkable design.
-  std::atomic<bool> stopped{false};
+  // Set once the search stops on the budget; the chosen subset at that
+  // point is the best COMPLETE assignment found so far (possibly empty),
+  // which is always jointly feasible — the final materialization below
+  // turns it into a valid, differentially-checkable design.
+  bool stopped = false;
 
   // Candidates: muxes with gated work, most promising first. The gated sets
   // feed both the savings estimate and the control edges, so compute them
@@ -855,8 +527,6 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
   for (std::size_t i = exactCount; i-- > 0;)
     suffix[i] = suffix[i + 1] + savings[candidates[i]];
 
-  const std::size_t threads = useOracle ? threadCount() : 1;
-
   if (!useOracle) {
     std::vector<bool> current(candidates.size(), false);
     auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
@@ -882,263 +552,80 @@ PowerManagedDesign runOptimal(const Graph& g, int steps, std::size_t maxMuxes, b
     std::vector<NodeId> chosen;
     for (std::size_t i = 0; i < candidates.size(); ++i)
       if (best[i]) chosen.push_back(candidates[i]);
-    return runTransform(g, steps, chosen, useOracle, cones, /*speculate=*/false);
+    return runTransformWithModel(g, steps, chosen, LatencyModel::unit(), useOracle, cones);
   }
 
+  // Oracle-backed DFS: push the mux's edges on descend, pop on backtrack,
+  // so each node of the search tree costs one incremental repair instead of
+  // a from-scratch frame computation; the memo skips probes whose failure
+  // is already a recorded fact.
   InfeasMemo memo(exactCount);
-
-  // Sequential-first with a probe-budget escape: most searches are pruned
-  // to a few hundred probes and finish here with zero parallel overhead; a
-  // search that exhausts the budget is genuinely large, so it restarts on
-  // the root-split parallel path below. The budget verdict depends only on
-  // the (deterministic) probe count, so the chosen path — and therefore
-  // the result — is reproducible at every thread count. Facts the memo
-  // learned before the escape stay valid (they are context-free).
-  bool escaped = false;
-  {
-    // Force mode escapes immediately so the differential tests drive the
-    // parallel DFS on their small graphs; Auto escapes only where the
-    // root-split actually helps (enough physical cores), since a large
-    // pruned tree is still better explored in place than fanned out onto
-    // two contended cores.
-    const bool canEscape =
-        threads > 1 && exactCount >= 4 &&
-        (speculationMode() == SpeculationMode::Force ||
-         (speculationMode() == SpeculationMode::Auto &&
-          std::thread::hardware_concurrency() >= 4));
-    const std::size_t probeBudget = !canEscape ? std::numeric_limits<std::size_t>::max()
-                                   : speculationMode() == SpeculationMode::Force ? 0
-                                                                                 : 4096;
-    std::size_t probes = 0;
-    // Sequential oracle-backed DFS: push the mux's edges on descend, pop on
-    // backtrack, so each node of the search tree costs one incremental
-    // repair instead of a from-scratch frame computation; the memo skips
-    // probes whose failure is already a recorded fact.
-    ChosenSet chosen(exactCount);
-    std::vector<bool> current(candidates.size(), false);
-    auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
-      if (escaped) return;
-      if (budget != nullptr && budget->exhausted()) {
-        stopped.store(true, std::memory_order_relaxed);
-        return;  // best-so-far stands
-      }
-      if (value + suffix[i] <= bestValue) return;
-      if (i == exactCount) {
-        if (value > bestValue) {
-          bestValue = value;
-          best = current;
-        }
-        return;
-      }
-      if (!memo.blocked(i, chosen.mask)) {
-        if (probes++ >= probeBudget) {
-          escaped = true;
-          return;
-        }
-        if (budget != nullptr) budget->chargeProbes();
-        oracle->push(muxEdges[i], /*probe=*/true);
-        if (oracle->feasible()) {
-          current[i] = true;
-          chosen.add(i);
-          self(self, i + 1, value + savings[candidates[i]]);
-          chosen.remove(i);
-          current[i] = false;
-        } else {
-          if (chosen.list.empty()) memo.learnSelf(i);
-          else if (chosen.list.size() == 1) memo.learnPair(i, chosen.list[0]);
-        }
-        oracle->pop();
-      }
-      self(self, i + 1, value);
-    };
-    dfs(dfs, 0, 0);
-    // A budget stop outranks the probe escape: restarting on the parallel
-    // path would discard the best-so-far the degradation contract promises.
-    if (stopped.load(std::memory_order_relaxed)) escaped = false;
-    if (escaped) {
-      bestValue = -1;
-      best.assign(candidates.size(), false);
+  ChosenSet chosenSet(exactCount);
+  std::vector<bool> current(candidates.size(), false);
+  auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
+    if (budget != nullptr && budget->exhausted()) {
+      stopped = true;
+      return;  // best-so-far stands
     }
-  }
-  if (escaped) {
-    // ---- root-level parallel DFS ----
-    // Phase 1: enumerate every reachable prefix of the first K levels in
-    // DFS visit order on the main oracle (no bound pruning: at this point
-    // the sequential search has no complete assignment either, and a
-    // superset of the sequential tree cannot change the first maximum).
-    std::size_t splitDepth = 0;
-    std::size_t leafTarget = 4 * threads;
-    while (splitDepth < exactCount && (std::size_t{1} << splitDepth) < leafTarget &&
-           splitDepth < 10)
-      ++splitDepth;
-    const std::size_t K = splitDepth;
-
-    struct Leaf {
-      std::vector<bool> chosenPrefix;  // first K levels
-      std::vector<std::size_t> chosenList;
-      double value = 0;
-    };
-    std::vector<Leaf> leaves;
-    {
-      ChosenSet chosen(exactCount);
-      std::vector<bool> prefix(K, false);
-      auto enumerate = [&](auto&& self, std::size_t i, double value) -> void {
-        if (budget != nullptr && budget->exhausted()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;  // the leaves found so far still cover valid prefixes
-        }
-        if (i == K) {
-          leaves.push_back(Leaf{prefix, chosen.list, value});
-          return;
-        }
-        if (!memo.blocked(i, chosen.mask)) {
-          if (budget != nullptr) budget->chargeProbes();
-          oracle->push(muxEdges[i], /*probe=*/true);
-          if (oracle->feasible()) {
-            prefix[i] = true;
-            chosen.add(i);
-            self(self, i + 1, value + savings[candidates[i]]);
-            chosen.remove(i);
-            prefix[i] = false;
-          } else {
-            if (chosen.list.empty()) memo.learnSelf(i);
-            else if (chosen.list.size() == 1) memo.learnPair(i, chosen.list[0]);
-          }
-          oracle->pop();
-        }
-        self(self, i + 1, value);
-      };
-      enumerate(enumerate, 0, 0);
-    }
-
-    // Phase 2: explore every leaf's subtree on its own oracle. Pruning may
-    // use the final results of earlier-in-order leaves only (a later
-    // leaf's bound could prune this leaf's first maximum, which sequential
-    // order would have kept).
-    struct LeafResult {
-      std::vector<bool> chosen;  // full exact window
-      double value = -1;
-    };
-    const std::size_t leafCount = leaves.size();
-    auto published = std::make_unique<std::atomic<double>[]>(leafCount);
-    for (std::size_t i = 0; i < leafCount; ++i)
-      published[i].store(-1, std::memory_order_relaxed);
-
-    std::vector<LeafResult> results(leafCount);
-    globalThreadPool().parallelFor(0, leafCount, 1, [&](std::size_t, std::size_t li) {
-      const Leaf& leaf = leaves[li];
-      TimeFrameOracle sub(g, steps, LatencyModel::unit(), "power-transform");
-      ChosenSet chosen(exactCount);
-      for (const std::size_t j : leaf.chosenList) {
-        sub.push(muxEdges[j]);  // feasible by construction (phase 1 probed it)
-        chosen.add(j);
+    if (value + suffix[i] <= bestValue) return;
+    if (i == exactCount) {
+      if (value > bestValue) {
+        bestValue = value;
+        best = current;
       }
-      auto hint = [&]() {
-        double h = -1;
-        for (std::size_t jj = 0; jj < li; ++jj)
-          h = std::max(h, published[jj].load(std::memory_order_relaxed));
-        return h;
-      };
-      LeafResult& out = results[li];
-      std::vector<bool> current(exactCount, false);
-      for (std::size_t j = 0; j < K; ++j) current[j] = leaf.chosenPrefix[j];
-      auto dfs = [&](auto&& self, std::size_t i, double value) -> void {
-        if (budget != nullptr && budget->exhausted()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;  // this leaf keeps its best complete assignment so far
-        }
-        if (value + suffix[i] <= std::max(out.value, hint())) return;
-        if (i == exactCount) {
-          if (value > out.value) {
-            out.value = value;
-            out.chosen = current;
-          }
-          return;
-        }
-        if (!memo.blocked(i, chosen.mask)) {
-          if (budget != nullptr) budget->chargeProbes();
-          sub.push(muxEdges[i], /*probe=*/true);
-          if (sub.feasible()) {
-            current[i] = true;
-            chosen.add(i);
-            self(self, i + 1, value + savings[candidates[i]]);
-            chosen.remove(i);
-            current[i] = false;
-          } else {
-            if (chosen.list.empty()) memo.learnSelf(i);
-            else if (chosen.list.size() == 1) memo.learnPair(i, chosen.list[0]);
-          }
-          sub.pop();
-        }
-        self(self, i + 1, value);
-      };
-      dfs(dfs, K, leaf.value);
-      published[li].store(out.value, std::memory_order_release);
-    });
-
-    // Phase 3: merge in DFS visit order with the sequential strict-> rule.
-    for (std::size_t li = 0; li < leafCount; ++li) {
-      if (results[li].value > bestValue) {
-        bestValue = results[li].value;
-        for (std::size_t i = 0; i < exactCount; ++i) best[i] = results[li].chosen[i];
-      }
+      return;
     }
-  }
+    if (!memo.blocked(i, chosenSet.mask)) {
+      if (budget != nullptr) budget->chargeProbes();
+      oracle->push(muxEdges[i], /*probe=*/true);
+      if (oracle->feasible()) {
+        current[i] = true;
+        chosenSet.add(i);
+        self(self, i + 1, value + savings[candidates[i]]);
+        chosenSet.remove(i);
+        current[i] = false;
+      } else {
+        if (chosenSet.list.empty()) memo.learnSelf(i);
+        else if (chosenSet.list.size() == 1) memo.learnPair(i, chosenSet.list[0]);
+      }
+      oracle->pop();
+    }
+    self(self, i + 1, value);
+  };
+  dfs(dfs, 0, 0);
 
   // Greedy tail beyond the exact window: commit the chosen window on the
-  // main oracle (mirrored into the farm's snapshot log when the tail is
-  // worth sweeping speculatively), then sweep the remaining candidates.
-  std::size_t tailProbeworthy = 0;
-  for (std::size_t i = exactCount; i < candidates.size(); ++i)
-    if (!muxEdges[i].empty()) ++tailProbeworthy;
-  const bool farmTail = farmProbesWorthwhile(g.size()) &&
-                        tailProbeworthy >= std::max<std::size_t>(3 * threads, 8);
-  std::optional<ProbeFarm> farm;
-  if (farmTail) farm.emplace(g, steps, LatencyModel::unit(), "power-transform", budget);
+  // oracle, then sweep the remaining candidates in order.
   for (std::size_t i = 0; i < exactCount; ++i)
     if (best[i] && !muxEdges[i].empty()) {
       oracle->push(muxEdges[i]);
       oracle->commit();
-      if (farm) farm->commitBatch(*oracle);
     }
-  if (exactCount < candidates.size()) {
-    if (farm) {
-      std::vector<std::vector<Edge>> tailEdges(muxEdges.begin() + exactCount, muxEdges.end());
-      SweepHooks hooks;
-      hooks.decided = [&](std::size_t i, bool accepted, const std::optional<NodeId>&) {
-        best[exactCount + i] = accepted;
-      };
-      const std::size_t decided =
-          speculativeSweep(*oracle, *farm, tailEdges, /*diagnose=*/false, hooks, budget);
-      if (decided < tailEdges.size()) stopped.store(true, std::memory_order_relaxed);
+  for (std::size_t i = exactCount; i < candidates.size(); ++i) {
+    if (budget != nullptr && budget->exhausted()) {
+      stopped = true;
+      break;  // remaining tail muxes stay unmanaged
+    }
+    if (budget != nullptr) budget->chargeProbes();
+    oracle->push(muxEdges[i], /*probe=*/true);
+    if (oracle->feasible()) {
+      best[i] = true;
+      oracle->commit();
     } else {
-      for (std::size_t i = exactCount; i < candidates.size(); ++i) {
-        if (budget != nullptr && budget->exhausted()) {
-          stopped.store(true, std::memory_order_relaxed);
-          break;  // remaining tail muxes stay unmanaged
-        }
-        if (budget != nullptr) budget->chargeProbes();
-        oracle->push(muxEdges[i], /*probe=*/true);
-        if (oracle->feasible()) {
-          best[i] = true;
-          oracle->commit();
-        } else {
-          oracle->pop();
-        }
-      }
+      oracle->pop();
     }
   }
 
   std::vector<NodeId> chosen;
   for (std::size_t i = 0; i < candidates.size(); ++i)
     if (best[i]) chosen.push_back(candidates[i]);
-  // The chosen subset is jointly feasible: replaying it is pure
-  // materialization, so the speculative machinery would only add overhead.
-  // The replay runs WITHOUT the budget — the committed decisions must be
-  // materialized completely for the design to be consistent.
-  PowerManagedDesign design = runTransform(g, steps, chosen, useOracle, cones,
-                                           /*speculate=*/false);
-  if (stopped.load(std::memory_order_relaxed)) {
+  // The chosen subset is jointly feasible, so replaying it is pure
+  // materialization. The replay runs WITHOUT the budget — the committed
+  // decisions must be materialized completely for the design to be
+  // consistent.
+  PowerManagedDesign design =
+      runTransformWithModel(g, steps, chosen, LatencyModel::unit(), useOracle, cones);
+  if (stopped) {
     design.degraded = true;
     const BudgetKind kind = budget->exhaustedWhy().value_or(BudgetKind::Deadline);
     design.degradeReason = std::string("exact search stopped early (") + budgetKindName(kind) +

@@ -17,18 +17,23 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
                              const LatencyModel& model) {
   if (steps <= 0) throw InfeasibleError("computeTimeFrames: steps must be positive");
 
-  // Extra predecessor/successor adjacency, indexed by node.
-  std::vector<std::vector<NodeId>> xSucc(g.size());
-  std::vector<std::vector<NodeId>> xPred(g.size());
-  for (const auto& [before, after] : extraEdges) {
-    xSucc[before].push_back(after);
-    xPred[after].push_back(before);
-  }
+  // Extra predecessor/successor adjacency, indexed by node; built only when
+  // there are extra edges (the common no-extra-edge call reads the graph's
+  // cached topological order and nothing else).
+  const bool extra = !extraEdges.empty();
+  std::vector<std::vector<NodeId>> xSucc;
+  std::vector<std::vector<NodeId>> xPred;
 
   // The propagation order must respect the extra edges too, otherwise a
   // tentative constraint from a later-ordered node would read a stale time.
   std::vector<NodeId> extraOrder;
-  if (!extraEdges.empty()) {
+  if (extra) {
+    xSucc.resize(g.size());
+    xPred.resize(g.size());
+    for (const auto& [before, after] : extraEdges) {
+      xSucc[before].push_back(after);
+      xPred[after].push_back(before);
+    }
     std::vector<int> indegree(g.size(), 0);
     for (NodeId i = 0; i < g.size(); ++i)
       indegree[i] = static_cast<int>(g.fanins(i).size() + g.controlPredecessors(i).size() +
@@ -52,7 +57,7 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
       throw SynthesisError("computeTimeFrames: extra edges create a cycle");
   }
   const std::span<const NodeId> order =
-      extraEdges.empty() ? g.topoOrderView() : std::span<const NodeId>(extraOrder);
+      extra ? std::span<const NodeId>(extraOrder) : g.topoOrderView();
 
   TimeFrames tf;
   tf.steps = steps;
@@ -72,7 +77,8 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
     };
     for (const NodeId p : g.fanins(n)) relax(p);
     for (const NodeId p : g.controlPredecessors(n)) relax(p);
-    for (const NodeId p : xPred[n]) relax(p);
+    if (extra)
+      for (const NodeId p : xPred[n]) relax(p);
     tf.asap[n] = isScheduled(g.kind(n)) ? avail + 1 : avail;
   }
 
@@ -98,7 +104,8 @@ TimeFrames computeTimeFrames(const Graph& g, int steps,
     };
     for (const NodeId s : g.fanouts(n)) relax(s);
     for (const NodeId s : g.controlSuccessors(n)) relax(s);
-    for (const NodeId s : xSucc[n]) relax(s);
+    if (extra)
+      for (const NodeId s : xSucc[n]) relax(s);
     tf.alap[n] = latest;
   }
 

@@ -10,6 +10,7 @@
 #include "sched/shared_gating.hpp"
 #include "support/random_dfg.hpp"
 #include "support/thread_pool.hpp"
+#include "mux_tree_graph.hpp"
 
 namespace pmsched {
 namespace {
@@ -132,26 +133,31 @@ TEST(Activation, ProbabilitiesAreProbabilities) {
   }
 }
 
-// Tentpole differential (ISSUE 7): sifting triggered DURING activation
-// analysis — sequential or partitioned, at whatever thread count the ctest
-// variant pins — must not change a single probability, condition, or error
-// bar relative to the reorder-off build. Exact dyadic probabilities are
+// Sifting triggered DURING activation analysis — sequential or
+// partitioned, at whatever thread count the ctest variant pins — must not
+// change a single probability, condition, or error bar relative to the
+// reorder-off build. The mux tree has at least 64 condition classes, so at
+// 2 and 8 threads its build partitions. Exact dyadic probabilities are
 // variable-order independent, and the partitioned merge tolerates order
 // drift via importFrom's ite fallback, so the two runs must agree bit for
 // bit.
 TEST(Activation, ReorderDuringAnalysisIsBitIdenticalToReorderOff) {
   ReorderKnobsGuard guard;
-  std::vector<Graph> graphs;
-  for (const auto& circuit : circuits::paperCircuits()) graphs.push_back(circuit.build());
-  graphs.push_back(randomLayeredDfg(6, 10, 42));
+  std::vector<std::pair<Graph, int>> graphs;  // (graph, slack over the critical path)
+  for (const auto& circuit : circuits::paperCircuits()) graphs.emplace_back(circuit.build(), 2);
+  graphs.emplace_back(randomLayeredDfg(6, 10, 42), 2);
+  graphs.emplace_back(muxTreeGraph(6), 6);
 
   bool anyReorder = false;
-  for (const Graph& g : graphs) {
-    PowerManagedDesign design = applyPowerManagement(g, criticalPathLength(g) + 2);
+  for (const auto& [g, slack] : graphs) {
+    PowerManagedDesign design = applyPowerManagement(g, criticalPathLength(g) + slack);
     applySharedGating(design);
 
     setBddReorderMode(BddReorderMode::Off);
     const ActivationResult off = analyzeActivation(design);
+    if (g.name() == "mux_tree_6") {
+      ASSERT_GE(conditionClassCount(off.condition), 64u);
+    }
 
     setBddReorderMode(BddReorderMode::Auto);
     setBddReorderWatermark(8);  // trip the sift mid-build, repeatedly

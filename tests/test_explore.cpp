@@ -4,8 +4,8 @@
 // docs/EXPLORE.md), budget exhaustion as a monotone clean prefix, the
 // explore-point fault contract, and the server "explore" op (which must
 // bypass both design-cache levels). The CMake registration runs this binary
-// at 1, 2 and 8 compute threads with forced speculation — every assertion
-// here is thread-count-invariant by construction.
+// at 1, 2 and 8 compute threads — every assertion here is
+// thread-count-invariant by construction.
 
 #include <gtest/gtest.h>
 

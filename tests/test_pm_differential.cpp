@@ -15,6 +15,7 @@
 #include "sched/shared_gating.hpp"
 #include "support/random_dfg.hpp"
 #include "support/thread_pool.hpp"
+#include "mux_tree_graph.hpp"
 
 namespace pmsched {
 namespace {
@@ -129,35 +130,26 @@ TEST(PowerTransformDifferential, OptimalMatchesReference) {
 }
 
 /// RAII thread-count override so a failing test cannot leak its setting.
-/// Speculation is FORCED so the differential graphs — far below the
-/// auto-mode size heuristic — still exercise the full farm machinery; the
-/// PREVIOUS mode is restored on exit (hardcoding Auto would permanently
-/// shadow a PMSCHED_SPECULATE=force environment pin for later tests).
 struct ScopedThreads {
-  explicit ScopedThreads(std::size_t n) : prev_(speculationMode()) {
-    setThreadCount(n);
-    setSpeculationMode(SpeculationMode::Force);
-  }
-  ~ScopedThreads() {
-    setThreadCount(0);
-    setSpeculationMode(prev_);
-  }
-  SpeculationMode prev_;
+  explicit ScopedThreads(std::size_t n) { setThreadCount(n); }
+  ~ScopedThreads() { setThreadCount(0); }
 };
 
 TEST(PowerTransformDifferential, DesignsAreIdenticalAtOneTwoAndEightThreads) {
-  // The speculative parallel sweep must be BIT-identical to the sequential
-  // one at every thread count — the whole point of the wave/commit
-  // protocol. Run greedy + shared gating and the exact search on the same
-  // inputs at 1, 2 and 8 threads and compare everything.
-  std::vector<Graph> graphs;
-  graphs.push_back(circuits::dealer());
-  graphs.push_back(circuits::diffeq());
+  // Every transform pass must be BIT-identical at every thread count. Run
+  // greedy + shared gating and the exact search on the same inputs at 1, 2
+  // and 8 threads and compare everything. The 511-mux tree is long enough
+  // for the greedy transform to compute its gated sets across the pool.
+  std::vector<std::pair<Graph, int>> graphs;  // (graph, slack over the critical path)
+  graphs.emplace_back(circuits::dealer(), 2);
+  graphs.emplace_back(circuits::diffeq(), 2);
   for (std::uint64_t seed = 90; seed < 96; ++seed)
-    graphs.push_back(randomLayeredDfg(6, 5, seed));
+    graphs.emplace_back(randomLayeredDfg(6, 5, seed), 2);
+  graphs.emplace_back(muxTreeGraph(9), 9);
+  ASSERT_GE(graphs.back().first.nodesOfKind(OpKind::Mux).size(), 384u);
 
-  for (const Graph& g : graphs) {
-    const int steps = criticalPathLength(g) + 2;
+  for (const auto& [g, slack] : graphs) {
+    const int steps = criticalPathLength(g) + slack;
 
     std::vector<PowerManagedDesign> greedy;
     std::vector<PowerManagedDesign> optimal;
@@ -181,9 +173,10 @@ TEST(PowerTransformDifferential, DesignsAreIdenticalAtOneTwoAndEightThreads) {
 
 TEST(PowerTransformDifferential, ActivationAnalysisIsThreadCountInvariant) {
   // The partitioned BDD build must produce the same conditions and exact
-  // probabilities as the sequential shared-manager build.
-  const Graph g = randomLayeredDfg(8, 5, 97);
-  const int steps = criticalPathLength(g) + 3;
+  // probabilities as the sequential shared-manager build. The input has at
+  // least 64 condition classes, so at 2 and 8 threads the build partitions.
+  const Graph g = muxTreeGraph(6);
+  const int steps = criticalPathLength(g) + 6;
 
   ActivationResult base;
   {
@@ -192,6 +185,7 @@ TEST(PowerTransformDifferential, ActivationAnalysisIsThreadCountInvariant) {
     applySharedGating(design);
     base = analyzeActivation(design);
   }
+  ASSERT_GE(conditionClassCount(base.condition), 64u);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     ScopedThreads guard(threads);
     PowerManagedDesign design = applyPowerManagement(g, steps);

@@ -45,7 +45,7 @@ void expectFramesMatch(const Graph& g, TimeFrameOracle& oracle,
   for (NodeId n = 0; n < g.size(); ++n)
     ASSERT_EQ(oracle.asap(n), ref.asap[n]) << what << ": asap of '" << g.node(n).name << "'";
   // ALAP reads flush the lazy backward repair of every open batch — at any
-  // depth (ProbeFarm replicas stack the committed state as open batches).
+  // depth.
   const TimeFrames tf = oracle.frames();
   for (NodeId n = 0; n < g.size(); ++n)
     ASSERT_EQ(tf.alap[n], ref.alap[n]) << what << ": alap of '" << g.node(n).name << "'";
